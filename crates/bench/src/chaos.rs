@@ -39,7 +39,7 @@ use m2ai_serve_fabric::{
 };
 use std::time::{Duration, Instant};
 
-use crate::header;
+use crate::{header, synth_frame};
 
 /// Streaming sessions during the crash-recovery phase.
 const SESSIONS: usize = 24;
@@ -228,23 +228,6 @@ fn fabric_config(shards: usize, supervision: SupervisionConfig) -> FabricConfig 
         },
         supervision,
     }
-}
-
-/// Deterministic synthetic frame (xorshift-style; extraction is not
-/// what this bench measures).
-fn synth_frame(dim: usize, session: usize, step: usize) -> Vec<f32> {
-    let mut state = (session as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((step as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
-        | 1;
-    (0..dim)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            ((state >> 11) as f32 / (1u64 << 53) as f32) - 0.5
-        })
-        .collect()
 }
 
 /// Pushes frames `[from, from + count)` to every session, riding
@@ -499,7 +482,6 @@ pub fn run() -> ChaosReport {
         "Chaos",
         "self-healing fabric: kill/stall/poison recovery + checkpoint overhead",
     );
-    m2ai_kernels::set_backend(m2ai_kernels::Backend::Fast);
     quiet_shard_panics();
     let w = workload();
 

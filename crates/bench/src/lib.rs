@@ -108,6 +108,25 @@ fn header(id: &str, title: &str) {
     println!("==== {id}: {title} ====");
 }
 
+/// Deterministic synthetic spectrum frame for the serving benches
+/// (xorshift over a per-`(session, step)` seed, values in
+/// `[-0.5, 0.5)`): they measure inference, fabric and tracing, not
+/// feature extraction.
+fn synth_frame(dim: usize, session: usize, step: usize) -> Vec<f32> {
+    let mut state = (session as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((step as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
+        | 1;
+    (0..dim)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state >> 11) as f32 / (1u64 << 53) as f32) - 0.5
+        })
+        .collect()
+}
+
 /// Fig. 3 — phase jumping across hopping channels is linear in
 /// frequency; calibration flattens it.
 pub fn fig3(_budget: Budget) {

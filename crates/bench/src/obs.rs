@@ -123,7 +123,6 @@ const NONZERO_HISTOGRAMS: &[&str] = &[
 /// transitions, steering cache), one tiny training run (nn fit
 /// counters), one replay forward pass, and a scenario-catalogue build.
 pub fn smoke_workload() {
-    m2ai_kernels::set_backend(m2ai_kernels::Backend::Fast);
     let _ = m2ai_motion::activity::catalog(2);
 
     let layout = FrameLayout::new(1, 4, FeatureMode::Joint);

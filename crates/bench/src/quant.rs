@@ -1,9 +1,9 @@
 //! Int8 quantized-inference accuracy gate (tiled-GEMM PR).
 //!
 //! Trains the full M²AI pipeline once in f32, calibrates and freezes
-//! the per-channel int8 weights (`Backend::QuantI8`), then scores the
-//! frozen model on an *unseen* golden evaluation dataset under both
-//! backends. The headline number is the top-1 accuracy delta between
+//! the per-channel int8 weights (`prepare_quantized`), then scores the
+//! frozen model on an *unseen* golden evaluation dataset before and
+//! after preparation. The headline number is the top-1 accuracy delta between
 //! f32 and int8 inference — the PR promises it stays within one
 //! percentage point.
 //!
@@ -15,7 +15,6 @@
 //! measurement.
 
 use m2ai_core::dataset::generate_dataset;
-use m2ai_kernels::{self as kernels, Backend};
 
 use crate::throughput::{json_f64, parse_metric};
 use crate::{base_config, base_options, header, Budget};
@@ -34,7 +33,8 @@ const CALIB_SAMPLES: usize = 32;
 pub struct QuantReport {
     /// Top-1 accuracy of the frozen f32 model on the golden eval set.
     pub f32_top1: f64,
-    /// Top-1 accuracy of the same model under `Backend::QuantI8`.
+    /// Top-1 accuracy of the same model after `prepare_quantized`
+    /// (every forward through its int8 state).
     pub quant_top1: f64,
     /// `(f32_top1 - quant_top1) * 100` — positive when int8 is worse.
     pub delta_pp: f64,
@@ -74,14 +74,12 @@ impl QuantReport {
     }
 }
 
-/// Trains, calibrates and scores both backends. Restores the fast
-/// backend before returning regardless of entry state.
+/// Trains, then scores the model in f32 and again int8-prepared.
 pub fn run(budget: Budget) -> QuantReport {
     header(
         "Quant",
         "int8 inference accuracy vs f32, frozen clean-trained model",
     );
-    kernels::set_backend(Backend::Fast);
     let cfg = base_config(budget);
     let bundle = generate_dataset(&cfg);
     let outcome = crate::train_m2ai(&bundle, &base_options(budget));
@@ -99,7 +97,7 @@ pub fn run(budget: Budget) -> QuantReport {
     let f32_top1 = m2ai_nn::train::evaluate(&model, &golden.samples);
 
     // Calibrate activation ranges on training-distribution sequences,
-    // then freeze the int8 weights and score under QuantI8.
+    // then freeze the int8 weights and score through them.
     model.prepare_quantized(
         bundle
             .samples
@@ -107,9 +105,11 @@ pub fn run(budget: Budget) -> QuantReport {
             .take(CALIB_SAMPLES)
             .map(|(frames, _)| frames.as_slice()),
     );
-    kernels::set_backend(Backend::QuantI8);
+    assert!(
+        model.is_quantized(),
+        "int8 accuracy must score prepared state"
+    );
     let quant_top1 = m2ai_nn::train::evaluate(&model, &golden.samples);
-    kernels::set_backend(Backend::Fast);
 
     let report = QuantReport {
         f32_top1,

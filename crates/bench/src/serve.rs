@@ -27,7 +27,7 @@ use m2ai_core::serve::{ServeConfig, ServeEngine};
 use m2ai_nn::model::{SequenceClassifier, StreamState};
 use std::time::Instant;
 
-use crate::header;
+use crate::{header, synth_frame};
 
 /// Concurrent streaming sessions in the workload.
 const SESSIONS: usize = 64;
@@ -147,24 +147,6 @@ impl ServeReport {
     }
 }
 
-/// Deterministic synthetic spectrum frame (cheap splitmix-style hash;
-/// the bench must measure inference, not feature extraction).
-fn synth_frame(dim: usize, session: usize, step: usize) -> Vec<f32> {
-    let mut state = (session as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((step as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
-        | 1;
-    (0..dim)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            // Map to [-0.5, 0.5): plenty of dynamic range, no overflow.
-            ((state >> 11) as f32 / (1u64 << 53) as f32) - 0.5
-        })
-        .collect()
-}
-
 /// The fixed workload: a 2-tag/4-antenna joint layout, the paper's
 /// CNN+LSTM model, `SESSIONS` streams of pre-built frames.
 struct Workload {
@@ -225,7 +207,6 @@ pub fn run() -> ServeReport {
         "Serve",
         "multi-session streaming: replay vs incremental vs micro-batched",
     );
-    m2ai_kernels::set_backend(m2ai_kernels::Backend::Fast);
     let w = workload();
 
     // Replay baseline: per-session sliding window, full forward pass

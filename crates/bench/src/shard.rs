@@ -42,7 +42,7 @@ use m2ai_nn::model::SequenceClassifier;
 use m2ai_serve_fabric::{FabricConfig, PushOutcome, ServeFabric, SessionKey, ShardThrottle};
 use std::time::Instant;
 
-use crate::header;
+use crate::{header, synth_frame};
 
 /// Concurrent streaming sessions in the workload.
 const SESSIONS: usize = 96;
@@ -205,23 +205,6 @@ impl Zipf {
     fn sample(&self, u: f64) -> usize {
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-}
-
-/// Deterministic synthetic spectrum frame (same splitmix-style hash as
-/// the serve bench; the load generator must not measure extraction).
-fn synth_frame(dim: usize, session: usize, step: usize) -> Vec<f32> {
-    let mut state = (session as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((step as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
-        | 1;
-    (0..dim)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            ((state >> 11) as f32 / (1u64 << 53) as f32) - 0.5
-        })
-        .collect()
 }
 
 /// The shared workload: the paper's 2-tag/4-antenna joint layout and
@@ -451,7 +434,6 @@ pub fn run() -> ShardReport {
         "Shard",
         "sharded serve fabric: Zipf-skewed scaling + overload tail",
     );
-    m2ai_kernels::set_backend(m2ai_kernels::Backend::Fast);
     let w = workload();
     let mut rates = [0.0f64; SHARD_COUNTS.len()];
     for (i, &shards) in SHARD_COUNTS.iter().enumerate() {

@@ -37,7 +37,7 @@ use m2ai_serve_fabric::{
 };
 use std::time::{Duration, Instant};
 
-use crate::header;
+use crate::{header, synth_frame};
 
 /// Streaming sessions in the chaos drive.
 const SESSIONS: usize = 8;
@@ -104,23 +104,6 @@ fn fabric_config(shards: usize, ingress_capacity: usize) -> FabricConfig {
         },
         supervision: supervision(),
     }
-}
-
-/// Deterministic synthetic frame (same xorshift family as the other
-/// benches; the gate measures tracing, not extraction).
-fn synth_frame(dim: usize, session: usize, step: usize) -> Vec<f32> {
-    let mut state = (session as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((step as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
-        | 1;
-    (0..dim)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            ((state >> 11) as f32 / (1u64 << 53) as f32) - 0.5
-        })
-        .collect()
 }
 
 fn push_round(fabric: &ServeFabric, w: &Workload, keys: &[SessionKey], from: usize, count: usize) {
@@ -506,7 +489,6 @@ pub fn check() -> bool {
         "Trace",
         "tracing contracts: span trees under chaos, attribution, postmortems, overhead",
     );
-    m2ai_kernels::set_backend(m2ai_kernels::Backend::Fast);
     quiet_shard_panics();
     let w = workload();
     let mut failures = Vec::new();

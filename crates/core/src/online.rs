@@ -317,7 +317,7 @@ impl SessionWindow {
     /// Closes the window starting at `next_window_start`: builds the
     /// frame, applies the fallback, updates health, and emits one
     /// event.
-    fn close_window(&mut self, out: &mut Vec<WindowEvent>) {
+    fn close_window(&mut self, out: &mut Vec<WindowEvent>, scratch: &mut KernelScratch) {
         let frame_len = self.builder.frame_duration_s;
         let window_start = self.next_window_start;
         let window_end = window_start + frame_len;
@@ -360,7 +360,7 @@ impl SessionWindow {
         let mut extract_span = m2ai_obs::trace::span("extract");
         extract_span.set_time_s(window_end);
         let (mut frame, quality) = match &mut self.extractor {
-            Some(ex) => ex.extract(window_start),
+            Some(ex) => ex.extract_with(window_start, scratch),
             None => self
                 .builder
                 .build_frame_with_quality(&self.buffer, window_start),
@@ -414,6 +414,17 @@ impl SessionWindow {
     /// the window end shows up. Non-finite timestamps are rejected
     /// outright (they cannot be ordered).
     pub fn push(&mut self, readings: &[TagReading], out: &mut Vec<WindowEvent>) {
+        m2ai_kernels::with_thread_scratch(|scratch| self.push_with(readings, out, scratch))
+    }
+
+    /// [`SessionWindow::push`] running streaming extraction on
+    /// `scratch`'s buffers and backend.
+    pub fn push_with(
+        &mut self,
+        readings: &[TagReading],
+        out: &mut Vec<WindowEvent>,
+        scratch: &mut KernelScratch,
+    ) {
         let frame_len = self.builder.frame_duration_s;
         for r in readings {
             if !r.time_s.is_finite() {
@@ -431,7 +442,7 @@ impl SessionWindow {
             }
             // Close every window that ends at or before this reading.
             while r.time_s >= self.next_window_start + frame_len {
-                self.close_window(out);
+                self.close_window(out, scratch);
             }
         }
     }
@@ -540,7 +551,8 @@ impl OnlineIdentifier {
     /// outright (they cannot be ordered).
     pub fn push(&mut self, readings: &[TagReading]) -> Vec<OnlinePrediction> {
         let mut events = std::mem::take(&mut self.events);
-        self.window.push(readings, &mut events);
+        self.window
+            .push_with(readings, &mut events, &mut self.scratch);
         let mut out = Vec::new();
         for ev in events.drain(..) {
             match ev {

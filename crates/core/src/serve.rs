@@ -48,7 +48,7 @@
 
 use crate::frames::FrameBuilder;
 use crate::online::{HealthConfig, HealthState, SessionWindow, WindowEvent};
-use m2ai_kernels::KernelScratch;
+use m2ai_kernels::{Backend, KernelScratch};
 use m2ai_nn::model::{SequenceClassifier, StreamState};
 use m2ai_obs::trace::{self, SpanStatus, TraceContext};
 use m2ai_rfsim::reading::TagReading;
@@ -75,6 +75,22 @@ struct ServeMetrics {
     suppressed_stale: m2ai_obs::Counter,
     suppressed_non_finite: m2ai_obs::Counter,
     suppressed_low_confidence: m2ai_obs::Counter,
+}
+
+/// `m2ai_kernels_backend_active{backend}`: live engines per backend,
+/// labelled `quant_i8` when the engine's model is int8-prepared.
+fn backend_gauge(backend: Backend, quantized: bool) -> m2ai_obs::Gauge {
+    let labels: m2ai_obs::LabelSet = match (quantized, backend) {
+        (true, _) => &[("backend", "quant_i8")],
+        (false, Backend::Reference) => &[("backend", "reference")],
+        (false, Backend::Fast) => &[("backend", "fast")],
+        (false, Backend::FastParallel) => &[("backend", "fast_parallel")],
+    };
+    m2ai_obs::gauge(
+        "m2ai_kernels_backend_active",
+        "live serve engines by kernel backend (quant_i8: int8-prepared model)",
+        labels,
+    )
 }
 
 fn serve_metrics() -> &'static ServeMetrics {
@@ -148,14 +164,13 @@ pub struct ServeConfig {
     pub history_len: usize,
     /// Health thresholds applied per session.
     pub health: HealthConfig,
-    /// Kernel backend to activate when the engine is constructed.
-    ///
-    /// `None` (the default) inherits whatever process-wide backend is
-    /// already active, so existing callers are unaffected. `Some(b)`
-    /// switches the process backend on construction — for
-    /// [`m2ai_kernels::Backend::QuantI8`] the model must already have
-    /// been prepared via `SequenceClassifier::prepare_quantized`.
-    pub backend: Option<m2ai_kernels::Backend>,
+    /// Kernel backend of this engine's own scratch: every GEMM the
+    /// engine runs (model steps, streaming scans) dispatches on it, and
+    /// nothing else in the process is affected, so engines with
+    /// different backends can serve side by side. Default
+    /// [`Backend::Fast`]. Int8 is not a backend: an engine whose model
+    /// went through `SequenceClassifier::prepare_quantized` serves int8.
+    pub backend: Backend,
     /// Streaming incremental extraction for the raw-readings path.
     ///
     /// `None` (the default) keeps the bit-exact batch `FrameBuilder`
@@ -176,7 +191,7 @@ impl Default for ServeConfig {
             queue_capacity: 32,
             history_len: 12,
             health: HealthConfig::default(),
-            backend: None,
+            backend: Backend::Fast,
             streaming: None,
         }
     }
@@ -308,6 +323,9 @@ pub struct ServeEngine {
     /// Round-robin start position for batch selection.
     cursor: usize,
     scratch: KernelScratch,
+    /// This engine's one count in `m2ai_kernels_backend_active`,
+    /// released on drop.
+    backend_gauge: m2ai_obs::Gauge,
     /// Reused event buffer (drained every push).
     events: Vec<WindowEvent>,
     suppressed: usize,
@@ -329,9 +347,9 @@ impl ServeEngine {
         assert!(cfg.max_sessions > 0, "need at least one session slot");
         assert!(cfg.max_batch > 0, "micro-batch window must be positive");
         assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
-        if let Some(b) = cfg.backend {
-            m2ai_kernels::set_backend(b);
-        }
+        let backend_gauge = backend_gauge(cfg.backend, model.is_quantized());
+        backend_gauge.add(1);
+        let scratch = KernelScratch::with_backend(cfg.backend);
         let slots = (0..cfg.max_sessions).map(|_| None).collect();
         ServeEngine {
             model,
@@ -340,7 +358,8 @@ impl ServeEngine {
             slots,
             next_id: 0,
             cursor: 0,
-            scratch: KernelScratch::new(),
+            scratch,
+            backend_gauge,
             events: Vec::new(),
             suppressed: 0,
             shed: 0,
@@ -534,7 +553,10 @@ impl ServeEngine {
         let idx = self.find(id)?;
         let mut events = std::mem::take(&mut self.events);
         let slot = self.slots[idx].as_mut().expect("found above");
-        trace::with_current(ctx, || slot.window.push(readings, &mut events));
+        let scratch = &mut self.scratch;
+        trace::with_current(ctx, || {
+            slot.window.push_with(readings, &mut events, scratch)
+        });
         let report = Self::enqueue(
             slot,
             events.drain(..).map(|ev| (ev, ctx)),
@@ -820,6 +842,12 @@ impl ServeEngine {
             out.extend(self.tick());
         }
         out
+    }
+}
+
+impl Drop for ServeEngine {
+    fn drop(&mut self) {
+        self.backend_gauge.add(-1);
     }
 }
 

@@ -57,10 +57,11 @@ use crate::frames::{
 use m2ai_dsp::music::{pseudospectrum, pseudospectrum_power_gemm_into, MusicConfig};
 use m2ai_dsp::stream::SlidingCovariance;
 use m2ai_dsp::{CMatrix, Complex};
+use m2ai_kernels::KernelScratch;
 use m2ai_par::parallel_map;
 use m2ai_rfsim::reading::TagReading;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Incremental covariance snapshot updates (`op = add | retire`).
 static UPDATES: m2ai_obs::CounterFamily = m2ai_obs::CounterFamily::new(
@@ -371,8 +372,19 @@ impl StreamExtractor {
     /// rounds inside the window. Phase 2 (parallel over tags,
     /// read-only): eigendecomposition + GEMM grid scan — or, on refresh
     /// windows, the exact batch feature path over materialised
-    /// snapshots.
+    /// snapshots. The scan runs on the thread-local `Fast` scratch; see
+    /// [`StreamExtractor::extract_with`] to choose the backend.
     pub fn extract(&mut self, t0: f64) -> (Vec<f32>, FrameQuality) {
+        m2ai_kernels::with_thread_scratch(|scratch| self.extract_with(t0, scratch))
+    }
+
+    /// [`StreamExtractor::extract`] scanning with `scratch`'s buffers
+    /// and backend.
+    pub fn extract_with(
+        &mut self,
+        t0: f64,
+        scratch: &mut KernelScratch,
+    ) -> (Vec<f32>, FrameQuality) {
         // Same stage family as the batch builder, so streaming windows
         // show up next to calibration/music/periodogram in dashboards.
         let _span = crate::frames::stage_seconds("stream_window").time();
@@ -408,12 +420,20 @@ impl StreamExtractor {
         let builder = &self.builder;
         let music_cfg = &self.music_cfg;
         let lay = builder.layout;
+        // Tags scan with the caller's scratch; under a parallel fan-out
+        // a task that finds it busy scans from a fresh pool on the same
+        // backend.
+        let backend = scratch.backend();
+        let shared = Mutex::new(scratch);
         let parts = parallel_map(lay.n_tags, builder.parallelism, |tag| {
             let state = &tags[tag];
             if refresh {
                 exact_tag_features(state, builder, music_cfg, k0, k1)
+            } else if let Ok(mut scratch) = shared.try_lock() {
+                incremental_tag_features(state, builder, music_cfg, &mut scratch)
             } else {
-                incremental_tag_features(state, builder, music_cfg)
+                let mut scratch = KernelScratch::with_backend(backend);
+                incremental_tag_features(state, builder, music_cfg, &mut scratch)
             }
         });
 
@@ -555,6 +575,7 @@ fn incremental_tag_features(
     state: &TagState,
     builder: &FrameBuilder,
     music_cfg: &MusicConfig,
+    scratch: &mut KernelScratch,
 ) -> (Vec<f32>, Vec<f32>, usize) {
     let lay = builder.layout;
     let has_spectrum = matches!(lay.mode, FeatureMode::Joint | FeatureMode::MusicOnly);
@@ -572,7 +593,7 @@ fn incremental_tag_features(
         SCAN_BUFFERS.with(|bufs| {
             let bufs = &mut *bufs.borrow_mut();
             if state.cov.correlation_into(&mut bufs.r).is_ok() {
-                let ok = m2ai_kernels::with_thread_scratch(|scratch| {
+                let ok = {
                     let _span = scan_seconds().time();
                     pseudospectrum_power_gemm_into(
                         &bufs.r,
@@ -581,7 +602,7 @@ fn incremental_tag_features(
                         scratch,
                         &mut bufs.power,
                     )
-                });
+                };
                 if ok.is_ok() {
                     spectrum_feature_into_approx(&bufs.power, &mut bufs.compressed, &mut spec_part);
                 }

@@ -7,13 +7,13 @@
 //! * a fast Fourier transform ([`fft`]) supporting arbitrary lengths
 //!   (iterative radix-2 plus Bluestein's algorithm);
 //! * windowed [`periodogram`] power-spectral-density estimation (Eq. 14–16
-//!   of the paper) including Welch averaging;
+//!   of the paper);
 //! * dense complex [`matrix`] algebra and a cyclic-Jacobi Hermitian
 //!   [`eigen`]decomposition;
 //! * the MUSIC pseudospectrum estimator ([`music`], Eq. 12) with
 //!   forward–backward averaging, spatial smoothing and MDL/AIC source
 //!   counting;
-//! * descriptive [`stats`] (means, medians, circular statistics);
+//! * descriptive [`stats`] (means, medians, a circular median, line fits);
 //! * [`stream`]ing sliding-window covariance maintenance (rank-1
 //!   add/retire of forward–backward snapshot outer products) feeding a
 //!   GEMM-lowered pseudospectrum scan
@@ -45,9 +45,7 @@
 
 mod complex;
 pub mod eigen;
-pub mod esprit;
 pub mod fft;
-pub mod filter;
 pub mod matrix;
 pub mod music;
 pub mod periodogram;

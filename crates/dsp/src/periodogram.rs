@@ -2,10 +2,8 @@
 //!
 //! The periodogram estimator `φ_p(ω) = (1/N)|Σ_t y(t)·e^{-jωt}|²` is
 //! computed with the FFT at the canonical frequency samples
-//! `ω_k = 2πk/N` (Eq. 15). Welch's method (segment averaging with
-//! overlap) is provided to trade resolution for variance, and a
-//! band-power helper summarises the per-antenna power that forms the
-//! paper's `n × N` periodogram frame.
+//! `ω_k = 2πk/N` (Eq. 15), and a band-power helper summarises the
+//! per-antenna power that forms the paper's `n × N` periodogram frame.
 
 use crate::fft::fft_in_buffer;
 use crate::window::Window;
@@ -126,57 +124,6 @@ pub fn periodogram_real(data: &[f64], window: Window) -> Result<Psd, DspError> {
     periodogram(&complex, window)
 }
 
-/// Welch's averaged periodogram.
-///
-/// Splits `data` into segments of `segment_len` with `overlap` samples
-/// shared between consecutive segments, computes a windowed periodogram
-/// per segment and averages.
-///
-/// # Errors
-///
-/// * [`DspError::EmptyInput`] if `data` is empty;
-/// * [`DspError::InvalidParameter`] if `segment_len == 0`,
-///   `segment_len > data.len()`, or `overlap >= segment_len`.
-pub fn welch(
-    data: &[Complex],
-    segment_len: usize,
-    overlap: usize,
-    window: Window,
-) -> Result<Psd, DspError> {
-    if data.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if segment_len == 0 || segment_len > data.len() {
-        return Err(DspError::InvalidParameter(
-            "segment_len must be in 1..=data.len()",
-        ));
-    }
-    if overlap >= segment_len {
-        return Err(DspError::InvalidParameter("overlap must be < segment_len"));
-    }
-    let hop = segment_len - overlap;
-    let mut acc = vec![0.0f64; segment_len];
-    let mut psd = Psd {
-        freqs: Vec::new(),
-        power: Vec::new(),
-    };
-    let mut count = 0usize;
-    let mut start = 0usize;
-    while start + segment_len <= data.len() {
-        periodogram_into(&data[start..start + segment_len], window, &mut psd)?;
-        for (a, p) in acc.iter_mut().zip(&psd.power) {
-            *a += *p;
-        }
-        count += 1;
-        start += hop;
-    }
-    let freqs: Vec<f64> = (0..segment_len)
-        .map(|k| k as f64 / segment_len as f64)
-        .collect();
-    let power = acc.iter().map(|a| a / count as f64).collect();
-    Ok(Psd { freqs, power })
-}
-
 /// Mean power of a complex record: `(1/N)·Σ|y(t)|²`.
 ///
 /// This is the per-antenna scalar the paper's periodogram frame
@@ -226,34 +173,6 @@ mod tests {
         let psd = periodogram(&x, Window::Hann).unwrap();
         let (k, _) = psd.dominant().unwrap();
         assert!((k as i64 - 20).unsigned_abs() <= 1);
-    }
-
-    #[test]
-    fn welch_reduces_variance() {
-        // White-ish noise via LCG; Welch average should be flatter than
-        // the raw periodogram (smaller relative spread).
-        let mut state = 99u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let data: Vec<Complex> = (0..512).map(|_| Complex::new(next(), next())).collect();
-        let raw = periodogram(&data, Window::Rect).unwrap();
-        let avg = welch(&data, 64, 32, Window::Rect).unwrap();
-        let spread = |p: &[f64]| {
-            let m = p.iter().sum::<f64>() / p.len() as f64;
-            p.iter().map(|v| (v - m).powi(2)).sum::<f64>().sqrt() / m
-        };
-        assert!(spread(&avg.power) < spread(&raw.power));
-    }
-
-    #[test]
-    fn welch_parameter_validation() {
-        let data = vec![Complex::ONE; 16];
-        assert!(welch(&data, 0, 0, Window::Rect).is_err());
-        assert!(welch(&data, 32, 0, Window::Rect).is_err());
-        assert!(welch(&data, 8, 8, Window::Rect).is_err());
-        assert!(welch(&[], 4, 0, Window::Rect).is_err());
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //!
 //! The arithmetic lives in [`m2ai_kernels`]: `Dense` is a GEMV/GEMM,
 //! `Conv1d` is lowered through im2col onto the same GEMM, and both
-//! dispatch on the process-wide [`m2ai_kernels::Backend`] (fast
-//! blocked kernels by default, the seed's naive loops under
-//! `Backend::Reference`). Every layer also offers `*_with` variants
-//! taking a [`KernelScratch`] so hot callers (`fit()`, the online
+//! dispatch on the [`m2ai_kernels::Backend`] of the [`KernelScratch`]
+//! they are handed (fast blocked kernels by default, the seed's naive
+//! loops under `Backend::Reference`). Every layer also offers `*_with`
+//! variants taking that scratch so hot callers (`fit()`, the online
 //! pipeline) reuse im2col/packing buffers instead of allocating per
-//! frame; the plain signatures delegate to a thread-local scratch.
+//! frame; the plain signatures delegate to the thread-local `Fast`
+//! scratch. A layer holding frozen int8 state runs its int8 path on
+//! every forward, whatever the backend.
 
 use crate::init::he_uniform;
 use crate::Parameterized;
@@ -26,11 +28,11 @@ use m2ai_kernels::{self as kernels, quant, Backend, KernelScratch};
 /// Frozen int8 inference state of a linear layer: per-output-channel
 /// quantized weights plus the calibrated per-tensor input scale.
 ///
-/// Built by the layer's `freeze_quant` after a calibration pass;
-/// consulted by the forward paths only under [`Backend::QuantI8`].
-/// Training never reads or updates it — after any weight update the
-/// owner must re-run calibration/freeze for the state to be
-/// meaningful.
+/// Built by the layer's `freeze_quant` after a calibration pass; while
+/// present, every forward path runs int8 through it. Training never
+/// updates it — `SequenceClassifier::loss_and_backprop_with` drops it
+/// before the first weight change, and the owner re-runs
+/// calibration/freeze to serve int8 again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantState {
     /// Per-row symmetric int8 weights.
@@ -140,13 +142,18 @@ impl Dense {
     pub fn forward_with(&self, x: &[f32], scratch: &mut KernelScratch) -> Vec<f32> {
         assert_eq!(x.len(), self.in_dim, "Dense input size mismatch");
         let mut y = scratch.take(self.out_dim);
-        if kernels::backend() == Backend::QuantI8 {
-            if let Some(q) = &self.quant {
-                self.forward_quant(q, x, 1, &mut y);
-                return y;
-            }
+        if let Some(q) = &self.quant {
+            self.forward_quant(q, x, 1, &mut y);
+            return y;
         }
-        kernels::gemv(self.out_dim, self.in_dim, &self.w, x, &mut y);
+        kernels::gemv(
+            scratch.backend(),
+            self.out_dim,
+            self.in_dim,
+            &self.w,
+            x,
+            &mut y,
+        );
         for (yo, bo) in y.iter_mut().zip(&self.b) {
             *yo += bo;
         }
@@ -180,13 +187,19 @@ impl Dense {
             "Dense batch input size mismatch"
         );
         let mut ys = scratch.take(rows * self.out_dim);
-        if kernels::backend() == Backend::QuantI8 {
-            if let Some(q) = &self.quant {
-                self.forward_quant(q, xs, rows, &mut ys);
-                return ys;
-            }
+        if let Some(q) = &self.quant {
+            self.forward_quant(q, xs, rows, &mut ys);
+            return ys;
         }
-        kernels::gemm_nt(rows, self.out_dim, self.in_dim, xs, &self.w, &mut ys);
+        kernels::gemm_nt(
+            scratch.backend(),
+            rows,
+            self.out_dim,
+            self.in_dim,
+            xs,
+            &self.w,
+            &mut ys,
+        );
         for row in ys.chunks_exact_mut(self.out_dim) {
             for (yo, bo) in row.iter_mut().zip(&self.b) {
                 *yo += bo;
@@ -196,16 +209,37 @@ impl Dense {
     }
 
     /// Backward pass: accumulates gradients, returns `∂L/∂x`.
-    pub fn backward(&mut self, x: &[f32], grad_out: &[f32]) -> Vec<f32> {
+    pub fn backward(
+        &mut self,
+        x: &[f32],
+        grad_out: &[f32],
+        scratch: &mut KernelScratch,
+    ) -> Vec<f32> {
         assert_eq!(grad_out.len(), self.out_dim);
         assert_eq!(x.len(), self.in_dim);
         for (o, &g) in grad_out.iter().enumerate() {
             self.gb[o] += g;
         }
+        let backend = scratch.backend();
         // Rank-1 weight update: gw += grad_outᵀ · x as a k=1 GEMM.
-        kernels::gemm_tn(self.out_dim, self.in_dim, 1, grad_out, x, &mut self.gw);
-        let mut gx = vec![0.0; self.in_dim];
-        kernels::gemv_t(self.out_dim, self.in_dim, &self.w, grad_out, &mut gx);
+        kernels::gemm_tn(
+            backend,
+            self.out_dim,
+            self.in_dim,
+            1,
+            grad_out,
+            x,
+            &mut self.gw,
+        );
+        let mut gx = scratch.take(self.in_dim);
+        kernels::gemv_t(
+            backend,
+            self.out_dim,
+            self.in_dim,
+            &self.w,
+            grad_out,
+            &mut gx,
+        );
         gx
     }
 
@@ -216,7 +250,13 @@ impl Dense {
     /// # Panics
     ///
     /// Panics on shape mismatches.
-    pub fn backward_batch(&mut self, xs: &[f32], grads: &[f32], rows: usize) -> Vec<f32> {
+    pub fn backward_batch(
+        &mut self,
+        xs: &[f32],
+        grads: &[f32],
+        rows: usize,
+        scratch: &mut KernelScratch,
+    ) -> Vec<f32> {
         assert_eq!(xs.len(), rows * self.in_dim, "Dense batch input mismatch");
         assert_eq!(
             grads.len(),
@@ -228,9 +268,26 @@ impl Dense {
                 self.gb[o] += g;
             }
         }
-        kernels::gemm_tn(self.out_dim, self.in_dim, rows, grads, xs, &mut self.gw);
-        let mut gxs = vec![0.0; rows * self.in_dim];
-        kernels::gemm_nn(rows, self.in_dim, self.out_dim, grads, &self.w, &mut gxs);
+        let backend = scratch.backend();
+        kernels::gemm_tn(
+            backend,
+            self.out_dim,
+            self.in_dim,
+            rows,
+            grads,
+            xs,
+            &mut self.gw,
+        );
+        let mut gxs = scratch.take(rows * self.in_dim);
+        kernels::gemm_nn(
+            backend,
+            rows,
+            self.in_dim,
+            self.out_dim,
+            grads,
+            &self.w,
+            &mut gxs,
+        );
         gxs
     }
 }
@@ -356,14 +413,15 @@ impl Conv1d {
 
     /// [`Conv1d::forward`] reusing the im2col buffer from `scratch`.
     ///
-    /// Under the fast backend the window walk is lowered through
-    /// im2col onto one `[c_out × c_in·kernel] · [c_in·kernel ×
-    /// len_out]` GEMM seeded with the bias — the same `(ci, k)`
-    /// accumulation order as the naive loop, kept in the `reference`
-    /// path below.
+    /// Under the fast backends (and the int8 path) the window walk is
+    /// lowered through im2col onto one `[c_out × c_in·kernel] ·
+    /// [c_in·kernel × len_out]` GEMM seeded with the bias — the same
+    /// `(ci, k)` accumulation order as the naive loop, kept in the
+    /// `reference` path below.
     pub fn forward_with(&self, x: &[f32], scratch: &mut KernelScratch) -> Vec<f32> {
         assert_eq!(x.len(), self.in_dim(), "Conv1d input size mismatch");
-        if kernels::backend() == Backend::Reference {
+        let backend = scratch.backend();
+        if backend == Backend::Reference && self.quant.is_none() {
             return self.forward_reference(x, scratch);
         }
         let len_out = self.len_out();
@@ -378,31 +436,29 @@ impl Conv1d {
             &mut cols,
         );
         let mut y = scratch.take(self.c_out * len_out);
-        if kernels::backend() == Backend::QuantI8 {
-            if let Some(q) = &self.quant {
-                // Quantize the im2col activations once; the filters are
-                // already int8. Integer accumulation, one f32 epilogue.
-                let mut ci8 = Vec::new();
-                quant::quantize_into(&cols, q.x_scale, &mut ci8);
-                let mut acc = vec![0i32; self.c_out * len_out];
-                quant::gemm_i8_nn(self.c_out, len_out, r, &q.qw.q, &ci8, &mut acc);
-                quant::dequant_nn(
-                    self.c_out,
-                    len_out,
-                    &acc,
-                    q.x_scale,
-                    &q.qw.scales,
-                    Some(&self.b),
-                    &mut y,
-                );
-                scratch.recycle(cols);
-                return y;
-            }
+        if let Some(q) = &self.quant {
+            // Quantize the im2col activations once; the filters are
+            // already int8. Integer accumulation, one f32 epilogue.
+            let mut ci8 = Vec::new();
+            quant::quantize_into(&cols, q.x_scale, &mut ci8);
+            let mut acc = vec![0i32; self.c_out * len_out];
+            quant::gemm_i8_nn(self.c_out, len_out, r, &q.qw.q, &ci8, &mut acc);
+            quant::dequant_nn(
+                self.c_out,
+                len_out,
+                &acc,
+                q.x_scale,
+                &q.qw.scales,
+                Some(&self.b),
+                &mut y,
+            );
+            scratch.recycle(cols);
+            return y;
         }
         for (o, row) in y.chunks_exact_mut(len_out).enumerate() {
             row.fill(self.b[o]);
         }
-        kernels::gemm_nn(self.c_out, len_out, r, &self.w, &cols, &mut y);
+        kernels::gemm_nn(backend, self.c_out, len_out, r, &self.w, &cols, &mut y);
         scratch.recycle(cols);
         y
     }
@@ -451,7 +507,8 @@ impl Conv1d {
         let len_out = self.len_out();
         assert_eq!(grad_out.len(), self.c_out * len_out);
         assert_eq!(x.len(), self.in_dim(), "Conv1d input size mismatch");
-        if kernels::backend() == Backend::Reference {
+        let backend = scratch.backend();
+        if backend == Backend::Reference {
             return self.backward_reference(x, grad_out);
         }
         let r = self.c_in * self.kernel;
@@ -471,9 +528,19 @@ impl Conv1d {
             }
             self.gb[o] = s;
         }
-        kernels::gemm_nt(self.c_out, r, len_out, grad_out, &cols, &mut self.gw);
+        kernels::gemm_nt(
+            backend,
+            self.c_out,
+            r,
+            len_out,
+            grad_out,
+            &cols,
+            &mut self.gw,
+        );
         let mut gcols = scratch.take(r * len_out);
-        kernels::gemm_tn(r, len_out, self.c_out, &self.w, grad_out, &mut gcols);
+        kernels::gemm_tn(
+            backend, r, len_out, self.c_out, &self.w, grad_out, &mut gcols,
+        );
         let mut gx = vec![0.0; self.in_dim()];
         col2im_accumulate(
             &gcols,
@@ -608,7 +675,7 @@ impl Layer {
         scratch: &mut KernelScratch,
     ) -> Vec<f32> {
         match self {
-            Layer::Dense(d) => d.backward(x, grad_out),
+            Layer::Dense(d) => d.backward(x, grad_out, scratch),
             Layer::Conv1d(c) => c.backward_with(x, grad_out, scratch),
             Layer::Relu => {
                 let mut gx = scratch.take(x.len());
@@ -723,9 +790,9 @@ impl Sequential {
     }
 
     /// Forward pass that feeds each layer's int8 calibration
-    /// statistics as the activations flow through. Must run under an
-    /// f32 backend (quant state is absent until `freeze_quant`, so the
-    /// arithmetic is the plain forward either way).
+    /// statistics as the activations flow through. Runs the f32
+    /// forward as long as no layer holds int8 state, which
+    /// `prepare_quantized` guarantees by clearing it first.
     pub fn calibrate_forward_with(&mut self, x: &[f32], scratch: &mut KernelScratch) -> Vec<f32> {
         let mut cur = scratch.take(x.len());
         cur.copy_from_slice(x);
@@ -954,7 +1021,7 @@ mod tests {
         let mut x = vec![0.3, -0.2, 0.8, 0.1];
         let y = d.forward(&x);
         let mut dm = d.clone();
-        let gx = dm.backward(&x, &y);
+        let gx = dm.backward(&x, &y, &mut KernelScratch::new());
         assert_matches_numeric(|x| sum_loss(&d.forward(x)), &gx, &mut x, 1e-2);
     }
 
@@ -964,7 +1031,7 @@ mod tests {
         let x = vec![0.5, -1.0, 0.25];
         let y = d.forward(&x);
         let mut dm = d.clone();
-        dm.backward(&x, &y);
+        dm.backward(&x, &y, &mut KernelScratch::new());
         // Numeric gradient wrt each weight.
         let eps = 1e-3;
         let mut probe = d.clone();

@@ -736,18 +736,20 @@ impl SequenceClassifier {
         }
     }
 
-    /// Prepares the model for [`m2ai_kernels::Backend::QuantI8`]
-    /// inference: clears any stale int8 state, runs the calibration
-    /// sequences through the f32 network to freeze per-tensor
-    /// activation scales, then quantizes every weight matrix
-    /// per-output-channel.
+    /// Prepares the model for int8 inference: clears any stale int8
+    /// state, runs the calibration sequences through the f32 network
+    /// to freeze per-tensor activation scales, then quantizes every
+    /// weight matrix per-output-channel.
     ///
-    /// Robust under any active backend — calibration forwards run in
-    /// f32 because the int8 state is absent until the final freeze.
-    /// Quantized state is a pure inference sidecar: training updates
-    /// (and checkpoint loads) do not refresh it, so re-run this after
-    /// either. An empty calibration set degrades to unit activation
-    /// scales (weights still quantize from their own range).
+    /// From then on every inference forward (`predict*`, `step*`,
+    /// `forward_logits*`) runs the int8 kernels, whatever the backend
+    /// of the scratch it is handed; the f32 weights are untouched, so
+    /// a clone taken before preparation keeps serving f32. Training
+    /// drops the int8 state ([`SequenceClassifier::loss_and_backprop_with`]
+    /// clears it before its f32 forward), and checkpoint loads do not
+    /// refresh it, so re-run this after either. An empty calibration
+    /// set degrades to unit activation scales (weights still quantize
+    /// from their own range).
     pub fn prepare_quantized<'a, I>(&mut self, calib: I)
     where
         I: IntoIterator<Item = &'a [Vec<f32>]>,
@@ -765,8 +767,7 @@ impl SequenceClassifier {
         self.head.freeze_quant();
     }
 
-    /// Drops all int8 state; the model serves pure f32 again under
-    /// every backend.
+    /// Drops all int8 state; the model serves pure f32 again.
     pub fn clear_quant(&mut self) {
         self.encoder.clear_quant();
         if let Some(stack) = &mut self.lstm {
@@ -782,7 +783,8 @@ impl SequenceClassifier {
     }
 
     /// Forward + backward for one labelled sequence; accumulates
-    /// parameter gradients and returns the mean per-frame loss.
+    /// parameter gradients and returns the mean per-frame loss. Drops
+    /// any int8 state first (see [`SequenceClassifier::loss_and_backprop_with`]).
     ///
     /// # Panics
     ///
@@ -796,6 +798,10 @@ impl SequenceClassifier {
     /// loop shares one arena per worker thread. The per-frame head
     /// runs forward *and* backward as batched GEMMs over the sequence.
     ///
+    /// Training forwards run f32: any int8 state from
+    /// [`SequenceClassifier::prepare_quantized`] is dropped first, since
+    /// the weight update this gradient feeds would make it stale.
+    ///
     /// # Panics
     ///
     /// Panics if `frames` is empty or `label >= n_classes`.
@@ -807,6 +813,7 @@ impl SequenceClassifier {
     ) -> f32 {
         assert!(!frames.is_empty(), "need at least one frame");
         assert!(label < self.n_classes, "label out of range");
+        self.clear_quant();
 
         // Forward with caches.
         let mut enc_caches = Vec::with_capacity(frames.len());
@@ -849,7 +856,9 @@ impl SequenceClassifier {
                 *slot = g * scale;
             }
         }
-        let rep_grads_flat = self.head.backward_batch(&reps_flat, &grads_flat, t_len);
+        let rep_grads_flat = self
+            .head
+            .backward_batch(&reps_flat, &grads_flat, t_len, scratch);
         scratch.recycle(grads_flat);
         scratch.recycle(logits_flat);
         scratch.recycle(reps_flat);
@@ -857,6 +866,7 @@ impl SequenceClassifier {
             .chunks_exact(rep_dim)
             .map(|c| c.to_vec())
             .collect();
+        scratch.recycle(rep_grads_flat);
 
         // Back through LSTM (if any) and the encoder.
         let feat_grads: Vec<Vec<f32>> = match (&mut self.lstm, &lstm_cache) {
@@ -1233,19 +1243,6 @@ mod tests {
         );
     }
 
-    /// Restores [`kernels::Backend::Fast`] on drop so a panicking
-    /// assertion can't leave the process-wide backend flipped.
-    /// Flipping between `Fast` and `QuantI8` is safe around concurrent
-    /// tests: every f32 dispatch under `QuantI8` is arithmetic-
-    /// identical to `Fast`, and only quant-*prepared* models (local to
-    /// these tests) take the int8 paths.
-    struct RestoreFast;
-    impl Drop for RestoreFast {
-        fn drop(&mut self) {
-            kernels::set_backend(kernels::Backend::Fast);
-        }
-    }
-
     #[test]
     fn quantized_inference_tracks_f32() {
         let m = tiny_model(31);
@@ -1257,10 +1254,6 @@ mod tests {
         qm.prepare_quantized(std::iter::once(frames.as_slice()));
         assert!(qm.is_quantized());
 
-        let _guard = RestoreFast;
-        kernels::set_backend(kernels::Backend::QuantI8);
-        // Unprepared model under QuantI8 is bit-identical to Fast.
-        assert_eq!(m.predict_proba(&frames), f32_probs);
         // Prepared model runs int8 and must stay close in probability.
         let q_probs = qm.predict_proba(&frames);
         for (f, q) in f32_probs.iter().zip(&q_probs) {
@@ -1281,8 +1274,6 @@ mod tests {
         for (name, m) in variants(32) {
             let mut qm = m;
             qm.prepare_quantized(std::iter::once(frames.as_slice()));
-            let _guard = RestoreFast;
-            kernels::set_backend(kernels::Backend::QuantI8);
             let mut state = qm.stream_state(frames.len());
             let mut last = Vec::new();
             for f in &frames {
@@ -1293,7 +1284,6 @@ mod tests {
                 qm.predict_proba(&frames),
                 "{name}: quantized stream != quantized replay"
             );
-            kernels::set_backend(kernels::Backend::Fast);
         }
     }
 

@@ -142,6 +142,9 @@ pub fn fit(model: &mut SequenceClassifier, data: &[Sample], cfg: &TrainConfig) -
         assert!(!frames.is_empty(), "sample with no frames");
         assert!(*label < model.n_classes(), "label out of range");
     }
+    // Training makes frozen int8 state stale; drop it up front so the
+    // parallel workers' clones and the updated model agree.
+    model.clear_quant();
     let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.clip_norm).with_weight_decay(cfg.weight_decay);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..data.len()).collect();

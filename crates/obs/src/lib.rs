@@ -84,7 +84,7 @@ pub fn set_enabled(on: bool) {
 pub enum MetricKind {
     /// Monotonically increasing event count.
     Counter,
-    /// Point-in-time signed level (queue depth, active backend).
+    /// Point-in-time signed level (queue depth, live engines per backend).
     Gauge,
     /// Fixed-bucket distribution (latencies, batch sizes, ratios).
     Histogram,

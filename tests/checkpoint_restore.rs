@@ -18,65 +18,26 @@
 //!   refused with `CheckpointMismatch`, and corrupted bytes never
 //!   deserialize.
 
-use m2ai::core::calibration::PhaseCalibrator;
-use m2ai::core::frames::{FeatureMode, FrameBuilder, FrameLayout};
+mod support;
+
 use m2ai::core::network::{build_model, Architecture};
 use m2ai::core::online::HealthState;
 use m2ai::core::serve::{ServeConfig, ServeEngine, ServeError, ServePrediction};
-use m2ai::kernels::{self, Backend};
+use m2ai::kernels::{Backend, KernelScratch};
 use m2ai::nn::model::{SequenceClassifier, StreamState};
 use proptest::prelude::*;
-use std::sync::Mutex;
+use support::{builder, layout, model, synth_frame};
 
 /// Sliding window length used throughout the suite.
 const HISTORY: usize = 3;
 
-/// Serialises tests that flip the process-global kernel backend.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores the fast backend when a scope exits (even on panic).
-struct RestoreBackend;
-impl Drop for RestoreBackend {
-    fn drop(&mut self) {
-        kernels::set_backend(Backend::Fast);
-    }
-}
-
-fn layout() -> FrameLayout {
-    FrameLayout::new(1, 4, FeatureMode::Joint)
-}
-
-fn builder() -> FrameBuilder {
-    FrameBuilder::new(layout(), PhaseCalibrator::disabled(1, 4), 0.5)
-}
-
-fn model(arch: Architecture) -> SequenceClassifier {
-    build_model(&layout(), 12, arch, 7)
-}
-
-fn serve_config() -> ServeConfig {
+fn serve_config(backend: Backend) -> ServeConfig {
     ServeConfig {
         history_len: HISTORY,
         queue_capacity: 256,
+        backend,
         ..ServeConfig::default()
     }
-}
-
-/// Deterministic pseudo-random frame payload in `(-1, 1)`.
-fn synth_frame(seed: u64, step: usize) -> Vec<f32> {
-    let dim = layout().frame_dim();
-    let mut state = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(step as u64)
-        | 1;
-    (0..dim)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0
-        })
-        .collect()
 }
 
 const ALL_ARCHS: [Architecture; 3] = [
@@ -85,18 +46,19 @@ const ALL_ARCHS: [Architecture; 3] = [
     Architecture::LstmOnly,
 ];
 
-/// Steps `state` through frames `[from, to)` of stream `seed`,
-/// returning the last output.
+/// Steps `state` through frames `[from, to)` of stream `seed` on
+/// `scratch`'s backend, returning the last output.
 fn step_range(
     m: &SequenceClassifier,
     state: &mut StreamState,
     seed: u64,
     from: usize,
     to: usize,
+    scratch: &mut KernelScratch,
 ) -> Vec<f32> {
     let mut last = Vec::new();
     for t in from..to {
-        last = m.step(&synth_frame(seed, t), state);
+        last = m.step_with(&synth_frame(seed, t), state, scratch);
     }
     last
 }
@@ -104,17 +66,18 @@ fn step_range(
 /// `StreamState` byte round-trip: the deserialized state continues the
 /// stream bitwise-identically to the original, for every architecture
 /// on the given backend.
-fn assert_stream_roundtrip(seed: u64, warm: usize, tail: usize) {
+fn assert_stream_roundtrip(seed: u64, warm: usize, tail: usize, backend: Backend) {
+    let s = &mut KernelScratch::with_backend(backend);
     for arch in ALL_ARCHS {
         let m = model(arch);
         let mut original = m.stream_state(HISTORY);
-        step_range(&m, &mut original, seed, 0, warm);
+        step_range(&m, &mut original, seed, 0, warm, s);
 
         let bytes = original.to_bytes();
         let mut restored = StreamState::from_bytes(&bytes).expect("round-trip");
 
-        let want = step_range(&m, &mut original, seed, warm, warm + tail);
-        let got = step_range(&m, &mut restored, seed, warm, warm + tail);
+        let want = step_range(&m, &mut original, seed, warm, warm + tail, s);
+        let got = step_range(&m, &mut restored, seed, warm, warm + tail, s);
         assert_eq!(
             got, want,
             "{arch:?}: restored stream state diverged after {warm} warm steps"
@@ -125,8 +88,15 @@ fn assert_stream_roundtrip(seed: u64, warm: usize, tail: usize) {
 /// Engine-level equivalence: an uninterrupted engine vs one whose
 /// session was exported at `cut` (pending events included) and adopted
 /// by a fresh engine. Prediction streams must concatenate bitwise.
-fn assert_engine_roundtrip(arch: Architecture, seed: u64, steps: usize, cut: usize) {
+fn assert_engine_roundtrip(
+    arch: Architecture,
+    seed: u64,
+    steps: usize,
+    cut: usize,
+    backend: Backend,
+) {
     let m = model(arch);
+    let serve_config = || serve_config(backend);
 
     // Oracle: one engine, never interrupted.
     let mut oracle = ServeEngine::new(m.clone(), builder(), serve_config());
@@ -213,10 +183,7 @@ proptest! {
         warm in 1usize..8,
         tail in 1usize..5,
     ) {
-        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = RestoreBackend;
-        kernels::set_backend(Backend::Fast);
-        assert_stream_roundtrip(seed, warm, tail);
+        assert_stream_roundtrip(seed, warm, tail, Backend::Fast);
     }
 
     /// Same property on the reference kernels: the contract is
@@ -227,10 +194,7 @@ proptest! {
         warm in 1usize..8,
         tail in 1usize..5,
     ) {
-        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = RestoreBackend;
-        kernels::set_backend(Backend::Reference);
-        assert_stream_roundtrip(seed, warm, tail);
+        assert_stream_roundtrip(seed, warm, tail, Backend::Reference);
     }
 
     /// Export-at-a-random-cut → restore-into-a-fresh-engine equals the
@@ -241,12 +205,9 @@ proptest! {
         steps in (HISTORY + 2)..12usize,
         cut_frac in 0.1f64..0.9,
     ) {
-        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = RestoreBackend;
-        kernels::set_backend(Backend::Fast);
         let cut = ((steps as f64 * cut_frac) as usize).clamp(1, steps - 1);
         for arch in ALL_ARCHS {
-            assert_engine_roundtrip(arch, seed, steps, cut);
+            assert_engine_roundtrip(arch, seed, steps, cut, Backend::Fast);
         }
     }
 
@@ -258,11 +219,8 @@ proptest! {
         steps in (HISTORY + 2)..10usize,
         cut_frac in 0.1f64..0.9,
     ) {
-        let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = RestoreBackend;
-        kernels::set_backend(Backend::Reference);
         let cut = ((steps as f64 * cut_frac) as usize).clamp(1, steps - 1);
-        assert_engine_roundtrip(Architecture::CnnLstm, seed, steps, cut);
+        assert_engine_roundtrip(Architecture::CnnLstm, seed, steps, cut, Backend::Reference);
     }
 }
 
@@ -270,6 +228,7 @@ proptest! {
 /// by an engine whose model disagrees on classes or feature width.
 #[test]
 fn mismatched_checkpoint_is_refused() {
+    let serve_config = || serve_config(Backend::Fast);
     let donor_model = model(Architecture::CnnLstm);
     let mut donor = ServeEngine::new(donor_model.clone(), builder(), serve_config());
     let id = donor.open_session().expect("capacity");
@@ -317,7 +276,7 @@ fn mismatched_checkpoint_is_refused() {
 fn corrupted_stream_state_bytes_are_rejected() {
     let m = model(Architecture::CnnLstm);
     let mut state = m.stream_state(HISTORY);
-    step_range(&m, &mut state, 7, 0, 4);
+    step_range(&m, &mut state, 7, 0, 4, &mut KernelScratch::new());
     let bytes = state.to_bytes();
 
     let mut bad_magic = bytes.clone();

@@ -23,15 +23,15 @@
 //! here takes deltas around its own traffic and the suite serialises
 //! on one lock.
 
-use m2ai::core::calibration::PhaseCalibrator;
-use m2ai::core::frames::{FeatureMode, FrameBuilder, FrameLayout};
-use m2ai::core::network::{build_model, Architecture};
+mod support;
+
+use m2ai::core::network::Architecture;
 use m2ai::core::online::HealthState;
 use m2ai::core::serve::ServeConfig;
 use m2ai::fabric::{FabricConfig, FabricError, PushOutcome, ServeFabric, ShardThrottle};
-use m2ai::nn::model::SequenceClassifier;
 use m2ai::obs;
 use std::sync::Mutex;
+use support::builder;
 
 /// Sliding window length (small model keeps the suite fast).
 const HISTORY: usize = 3;
@@ -40,29 +40,9 @@ const HISTORY: usize = 3;
 /// process-global metric families.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-fn layout() -> FrameLayout {
-    FrameLayout::new(1, 4, FeatureMode::Joint)
-}
-
-fn builder() -> FrameBuilder {
-    FrameBuilder::new(layout(), PhaseCalibrator::disabled(1, 4), 0.5)
-}
-
-fn model() -> SequenceClassifier {
-    build_model(&layout(), 12, Architecture::CnnLstm, 7)
-}
-
-fn synth_frame(step: usize) -> Vec<f32> {
-    let dim = layout().frame_dim();
-    let mut state = (step as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..dim)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0
-        })
-        .collect()
+/// Payload of push `t`: the first frame of stream `t`.
+fn synth_frame(t: usize) -> Vec<f32> {
+    support::synth_frame(t as u64, 0)
 }
 
 /// Sum of a gauge family across label children.
@@ -87,7 +67,7 @@ fn frozen_ingress_sheds_exactly_past_capacity_and_obs_agrees() {
     let depth_before = gauge_family_total("m2ai_fabric_ingress_depth");
 
     let fabric = ServeFabric::new(
-        model(),
+        support::model(Architecture::CnnLstm),
         builder(),
         FabricConfig {
             shards: 2,
@@ -171,7 +151,7 @@ fn held_engine_queue_sheds_oldest_and_reports_per_session() {
     const QUEUE: usize = 2;
     const PUSHES: usize = 6;
     let fabric = ServeFabric::new(
-        model(),
+        support::model(Architecture::CnnLstm),
         builder(),
         FabricConfig {
             shards: 1,
@@ -232,7 +212,7 @@ fn admission_spills_before_refusing_and_obs_agrees() {
     let sessions_before = gauge_family_total("m2ai_fabric_sessions");
 
     let fabric = ServeFabric::new(
-        model(),
+        support::model(Architecture::CnnLstm),
         builder(),
         FabricConfig {
             shards: 2,

@@ -20,9 +20,9 @@
 //!   regress a timestamp (per-session FIFO is the fabric's ordering
 //!   contract).
 
-use m2ai::core::calibration::PhaseCalibrator;
-use m2ai::core::frames::{FeatureMode, FrameBuilder, FrameLayout};
-use m2ai::core::network::{build_model, Architecture};
+mod support;
+
+use m2ai::core::network::Architecture;
 use m2ai::core::online::HealthState;
 use m2ai::core::serve::ServeConfig;
 use m2ai::core::stream_extract::StreamingExtract;
@@ -35,6 +35,7 @@ use m2ai::rfsim::scene::SceneSnapshot;
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
+use support::{builder, model, synth_frame};
 
 /// Sliding window length (small model keeps the soak fast).
 const HISTORY: usize = 3;
@@ -53,26 +54,6 @@ const EPHEMERAL_STEPS: usize = 4;
 
 /// Hard wall-clock ceiling for the whole soak.
 const WATCHDOG: Duration = Duration::from_secs(180);
-
-fn layout() -> FrameLayout {
-    FrameLayout::new(1, 4, FeatureMode::Joint)
-}
-
-fn synth_frame(seed: u64, step: usize) -> Vec<f32> {
-    let dim = layout().frame_dim();
-    let mut state = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(step as u64)
-        | 1;
-    (0..dim)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0
-        })
-        .collect()
-}
 
 /// Simulated tag readings for the faulty raw-readings producer.
 fn faulty_chunks() -> Vec<Vec<TagReading>> {
@@ -106,12 +87,9 @@ struct SoakOutcome {
 
 /// The soak body — runs on a watchdog-supervised thread.
 fn soak() -> SoakOutcome {
-    let l = layout();
-    let builder = FrameBuilder::new(l, PhaseCalibrator::disabled(1, 4), 0.5);
-    let model = build_model(&l, 12, Architecture::CnnLstm, 7);
     let fabric = ServeFabric::new(
-        model,
-        builder,
+        model(Architecture::CnnLstm),
+        builder(),
         FabricConfig {
             shards: 2,
             vnodes: 32,

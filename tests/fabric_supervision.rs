@@ -14,9 +14,9 @@
 //! `N - HISTORY + 1` predictions across its whole life, *including*
 //! any crash/restore or migration in the middle.
 
-use m2ai::core::calibration::PhaseCalibrator;
-use m2ai::core::frames::{FeatureMode, FrameBuilder, FrameLayout};
-use m2ai::core::network::{build_model, Architecture};
+mod support;
+
+use m2ai::core::network::Architecture;
 use m2ai::core::online::HealthState;
 use m2ai::core::serve::ServeConfig;
 use m2ai::fabric::{
@@ -26,6 +26,7 @@ use m2ai::fabric::{
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::{Duration, Instant};
+use support::{builder, layout, model, synth_frame};
 
 /// Sliding window length (small model keeps the battery fast).
 const HISTORY: usize = 3;
@@ -42,18 +43,9 @@ const WATCHDOG: Duration = Duration::from_secs(120);
 /// Generous bound for "the supervisor noticed and recovered".
 const RECOVERY: Duration = Duration::from_secs(30);
 
-fn layout() -> FrameLayout {
-    FrameLayout::new(1, 4, FeatureMode::Joint)
-}
-
-fn builder() -> FrameBuilder {
-    FrameBuilder::new(layout(), PhaseCalibrator::disabled(1, 4), 0.5)
-}
-
 fn fabric(shards: usize, supervision: SupervisionConfig) -> ServeFabric {
-    let l = layout();
     ServeFabric::new(
-        build_model(&l, 12, Architecture::CnnLstm, 7),
+        model(Architecture::CnnLstm),
         builder(),
         FabricConfig {
             shards,
@@ -83,22 +75,6 @@ fn fast_supervision() -> SupervisionConfig {
         backoff_max: Duration::from_millis(50),
         ..SupervisionConfig::default()
     }
-}
-
-fn synth_frame(seed: u64, step: usize) -> Vec<f32> {
-    let dim = layout().frame_dim();
-    let mut state = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(step as u64)
-        | 1;
-    (0..dim)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0
-        })
-        .collect()
 }
 
 /// Runs a scenario body on a watchdog-supervised thread.

@@ -6,50 +6,18 @@
 //! (≤ 1 ulp each). These properties pin that contract across random
 //! shapes, including the degenerate ones the lowering must not trip
 //! over: `kernel = 1`, `c_in = 1`, a single timestep, single rows.
-//!
-//! Tests that flip the process-global backend serialise behind
-//! [`BACKEND_LOCK`] and restore the default (`Fast`) even on panic.
+//! Each layer runs on a backend by way of the `KernelScratch` it is
+//! handed. The LCG payloads only need to be well-spread; the shapes are
+//! proptest-driven.
 
-use m2ai::kernels::{self, fast, quant, reference, tiled, Backend};
+mod support;
+
+use m2ai::kernels::{fast, quant, reference, tiled, Backend, KernelScratch};
 use m2ai::nn::layers::{Conv1d, Dense, Layer};
 use m2ai::nn::lstm::Lstm;
 use m2ai::nn::Parameterized;
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serialises every test that reads or flips the global kernel backend.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores the default backend when dropped, so a panicking case
-/// cannot leave `Reference` selected for the rest of the binary.
-struct RestoreFast;
-
-impl Drop for RestoreFast {
-    fn drop(&mut self) {
-        kernels::set_backend(Backend::Fast);
-    }
-}
-
-fn with_backend<T>(b: Backend, f: impl FnOnce() -> T) -> T {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = RestoreFast;
-    kernels::set_backend(b);
-    f()
-}
-
-/// Deterministic pseudo-random values in `(-1, 1)` (LCG; shapes are
-/// proptest-driven, the payload only needs to be well-spread).
-fn lcg_values(seed: u64, n: usize) -> Vec<f32> {
-    let mut state = seed | 1;
-    (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0
-        })
-        .collect()
-}
+use support::lcg_values;
 
 fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "shape mismatch");
@@ -280,17 +248,16 @@ proptest! {
         let gs = lcg_values(seed ^ 0x0dd5, rows * out_dim);
 
         let run = |backend: Backend| {
-            with_backend(backend, || {
-                let mut d = Dense::new(in_dim, out_dim, 42);
-                let mut ys = Vec::new();
-                let mut gxs = Vec::new();
-                for (x, g) in xs.chunks_exact(in_dim).zip(gs.chunks_exact(out_dim)) {
-                    ys.extend(d.forward(x));
-                    gxs.extend(d.backward(x, g));
-                }
-                let grads = grads_of(&mut d);
-                (ys, gxs, grads)
-            })
+            let s = &mut KernelScratch::with_backend(backend);
+            let mut d = Dense::new(in_dim, out_dim, 42);
+            let mut ys = Vec::new();
+            let mut gxs = Vec::new();
+            for (x, g) in xs.chunks_exact(in_dim).zip(gs.chunks_exact(out_dim)) {
+                ys.extend(d.forward_with(x, s));
+                gxs.extend(d.backward(x, g, s));
+            }
+            let grads = grads_of(&mut d);
+            (ys, gxs, grads)
         };
         let (y_f, gx_f, g_f) = run(Backend::Fast);
         let (y_r, gx_r, g_r) = run(Backend::Reference);
@@ -299,13 +266,14 @@ proptest! {
         prop_assert!(max_abs_diff(&g_f, &g_r) <= TOL);
 
         // Batched path vs the sequence of single-row calls.
-        let (ys_b, gxs_b, g_b) = with_backend(Backend::Fast, || {
+        let (ys_b, gxs_b, g_b) = {
+            let s = &mut KernelScratch::new();
             let mut d = Dense::new(in_dim, out_dim, 42);
-            let ys = d.forward_batch(&xs, rows);
-            let gxs = d.backward_batch(&xs, &gs, rows);
+            let ys = d.forward_batch_with(&xs, rows, s);
+            let gxs = d.backward_batch(&xs, &gs, rows, s);
             let grads = grads_of(&mut d);
             (ys, gxs, grads)
-        });
+        };
         prop_assert!(max_abs_diff(&ys_b, &y_f) <= TOL);
         prop_assert!(max_abs_diff(&gxs_b, &gx_f) <= TOL);
         prop_assert!(max_abs_diff(&g_b, &g_f) <= TOL);
@@ -330,16 +298,15 @@ proptest! {
         let g = lcg_values(seed ^ 0x94d0, c_out * len_out);
 
         let run = |backend: Backend| {
-            with_backend(backend, || {
-                let conv = Conv1d::new(c_in, len_in, c_out, kernel, stride, 42);
-                let mut layer = Layer::Conv1d(conv);
-                let (y, gx) = match &mut layer {
-                    Layer::Conv1d(c) => (c.forward(&x), c.backward(&x, &g)),
-                    _ => unreachable!(),
-                };
-                let grads = grads_of(&mut layer);
-                (y, gx, grads)
-            })
+            let s = &mut KernelScratch::with_backend(backend);
+            let conv = Conv1d::new(c_in, len_in, c_out, kernel, stride, 42);
+            let mut layer = Layer::Conv1d(conv);
+            let (y, gx) = match &mut layer {
+                Layer::Conv1d(c) => (c.forward_with(&x, s), c.backward_with(&x, &g, s)),
+                _ => unreachable!(),
+            };
+            let grads = grads_of(&mut layer);
+            (y, gx, grads)
         };
         let (y_f, gx_f, g_f) = run(Backend::Fast);
         let (y_r, gx_r, g_r) = run(Backend::Reference);
@@ -366,19 +333,18 @@ proptest! {
             .collect();
 
         let run = |backend: Backend| {
-            with_backend(backend, || {
-                let mut l = Lstm::new(in_dim, hidden, 7);
-                let cache = l.forward_sequence(&xs);
-                let outputs: Vec<f32> = cache.outputs.iter().flatten().copied().collect();
-                let gxs: Vec<f32> = l
-                    .backward_sequence(&cache, &gouts)
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .collect();
-                let grads = grads_of(&mut l);
-                (outputs, gxs, grads)
-            })
+            let s = &mut KernelScratch::with_backend(backend);
+            let mut l = Lstm::new(in_dim, hidden, 7);
+            let cache = l.forward_sequence_with(&xs, s);
+            let outputs: Vec<f32> = cache.outputs.iter().flatten().copied().collect();
+            let gxs: Vec<f32> = l
+                .backward_sequence_with(&cache, &gouts, s)
+                .iter()
+                .flatten()
+                .copied()
+                .collect();
+            let grads = grads_of(&mut l);
+            (outputs, gxs, grads)
         };
         let (y_f, gx_f, g_f) = run(Backend::Fast);
         let (y_r, gx_r, g_r) = run(Backend::Reference);

@@ -19,50 +19,19 @@
 //! instead of replay-from-zero) is intentional and starts only after
 //! the first full window, which these tests pin too.
 
-use m2ai::core::calibration::PhaseCalibrator;
-use m2ai::core::frames::{FeatureMode, FrameBuilder, FrameLayout};
-use m2ai::core::network::{build_model, Architecture};
+mod support;
+
+use m2ai::core::network::Architecture;
 use m2ai::core::online::HealthState;
 use m2ai::core::serve::{ServeConfig, ServeEngine, ServePrediction, SessionId};
-use m2ai::kernels::{self, Backend};
+use m2ai::kernels::{Backend, KernelScratch};
 use m2ai::nn::model::SequenceClassifier;
 use proptest::prelude::*;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
+use support::{builder, model, synth_frame};
 
 /// Sliding window length used throughout the suite.
 const HISTORY: usize = 3;
-
-/// Serialises the tests that flip the process-global kernel backend.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-fn layout() -> FrameLayout {
-    FrameLayout::new(1, 4, FeatureMode::Joint)
-}
-
-fn builder() -> FrameBuilder {
-    FrameBuilder::new(layout(), PhaseCalibrator::disabled(1, 4), 0.5)
-}
-
-fn model(arch: Architecture) -> SequenceClassifier {
-    build_model(&layout(), 12, arch, 7)
-}
-
-/// Deterministic pseudo-random frame payload in `(-1, 1)`.
-fn synth_frame(seed: u64, step: usize) -> Vec<f32> {
-    let dim = layout().frame_dim();
-    let mut state = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(step as u64)
-        | 1;
-    (0..dim)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0
-        })
-        .collect()
-}
 
 const ALL_ARCHS: [Architecture; 3] = [
     Architecture::CnnLstm,
@@ -92,33 +61,31 @@ fn incremental_step_matches_full_replay_bitwise() {
 fn incremental_step_matches_full_replay_on_reference_backend() {
     // The bit-exactness argument is per-backend (each computes one
     // accumulator chain per output); pin it on the naive kernels too.
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            kernels::set_backend(Backend::Fast);
-        }
-    }
-    let _restore = Restore;
-    kernels::set_backend(Backend::Reference);
+    let mut scratch = KernelScratch::with_backend(Backend::Reference);
     let m = model(Architecture::CnnLstm);
     let frames: Vec<Vec<f32>> = (0..HISTORY).map(|t| synth_frame(6, t)).collect();
     let mut state = m.stream_state(HISTORY);
     let mut last = Vec::new();
     for f in &frames {
-        last = m.step(f, &mut state);
+        last = m.step_with(f, &mut state, &mut scratch);
     }
-    assert_eq!(last, m.predict_proba(&frames));
+    assert_eq!(last, m.predict_proba_with(&frames, &mut scratch));
 }
 
-/// Feeds `steps` frames of stream `seed` to one engine session and
-/// returns its predictions.
-fn run_single(m: &SequenceClassifier, seed: u64, steps: usize) -> Vec<ServePrediction> {
+/// Feeds `steps` frames of stream `seed` to one engine session on
+/// `backend` and returns its predictions.
+fn run_single(
+    m: &SequenceClassifier,
+    seed: u64,
+    steps: usize,
+    backend: Backend,
+) -> Vec<ServePrediction> {
     let mut eng = ServeEngine::new(
         m.clone(),
         builder(),
         ServeConfig {
             history_len: HISTORY,
+            backend,
             ..ServeConfig::default()
         },
     );
@@ -134,11 +101,15 @@ fn run_single(m: &SequenceClassifier, seed: u64, steps: usize) -> Vec<ServePredi
 fn batched_ticks_match_serial_ticks_bitwise() {
     const B: usize = 5;
     const STEPS: usize = 7;
-    for arch in ALL_ARCHS {
+    for (arch, backend) in ALL_ARCHS
+        .into_iter()
+        .flat_map(|a| [(a, Backend::Fast), (a, Backend::Reference)])
+    {
         let m = model(arch);
         // Serial: each stream alone in its own engine.
-        let serial: Vec<Vec<ServePrediction>> =
-            (0..B as u64).map(|s| run_single(&m, s, STEPS)).collect();
+        let serial: Vec<Vec<ServePrediction>> = (0..B as u64)
+            .map(|s| run_single(&m, s, STEPS, backend))
+            .collect();
 
         // Batched: all streams share one engine; every tick advances
         // all of them in one micro-batched step.
@@ -147,6 +118,7 @@ fn batched_ticks_match_serial_ticks_bitwise() {
             builder(),
             ServeConfig {
                 history_len: HISTORY,
+                backend,
                 ..ServeConfig::default()
             },
         );
@@ -162,17 +134,24 @@ fn batched_ticks_match_serial_ticks_bitwise() {
         let batched = eng.drain();
         assert!(
             !batched.is_empty(),
-            "{arch:?}: suite is vacuous if nothing is ever emitted"
+            "{arch:?}/{backend:?}: suite is vacuous if nothing is ever emitted"
         );
 
         for (s, &id) in ids.iter().enumerate() {
             let mine: Vec<&ServePrediction> = batched.iter().filter(|p| p.session == id).collect();
-            assert_eq!(mine.len(), serial[s].len(), "{arch:?}: stream {s} count");
+            assert_eq!(
+                mine.len(),
+                serial[s].len(),
+                "{arch:?}/{backend:?}: stream {s} count"
+            );
             for (b, a) in mine.iter().zip(&serial[s]) {
-                assert_eq!(b.time_s, a.time_s, "{arch:?}: stream {s} timing");
+                assert_eq!(
+                    b.time_s, a.time_s,
+                    "{arch:?}/{backend:?}: stream {s} timing"
+                );
                 assert_eq!(
                     b.probabilities, a.probabilities,
-                    "{arch:?}: stream {s} must bit-match its solo run"
+                    "{arch:?}/{backend:?}: stream {s} must bit-match its solo run"
                 );
                 assert_eq!(b.class, a.class);
             }
@@ -261,7 +240,7 @@ proptest! {
             // A departed stream still must have produced predictions
             // identical to a solo run over the frames it got to push.
             let steps = if open[stream] { STEPS } else { depart_after };
-            let solo = run_single(m, stream as u64, steps);
+            let solo = run_single(m, stream as u64, steps, Backend::Fast);
             let mine: Vec<&ServePrediction> =
                 collected.iter().filter(|p| p.session == ids[stream]).collect();
             prop_assert_eq!(mine.len(), solo.len());

@@ -14,11 +14,11 @@
 //!   covariance, so they may differ from the `f64` batch path, but only
 //!   within the documented tolerance.
 //!
-//! The kernel backend is process-global, so both backends are exercised
-//! sequentially inside each property case rather than in separate
-//! `#[test]`s that could race.
+//! Both backends run inside each property case, each through its own
+//! `KernelScratch::with_backend`.
 
 use m2ai::core::stream_extract::{StreamExtractor, StreamingExtract};
+use m2ai::kernels::{Backend, KernelScratch};
 use m2ai::prelude::*;
 use proptest::prelude::*;
 
@@ -57,9 +57,8 @@ proptest! {
         let builder = FrameBuilder::new(layout, PhaseCalibrator::disabled(2, 4), FRAME_S);
         let cfg = StreamingExtract { refresh_every };
 
-        let initial = m2ai::kernels::backend();
-        for backend in [m2ai::kernels::Backend::Reference, m2ai::kernels::Backend::Fast] {
-            m2ai::kernels::set_backend(backend);
+        for backend in [Backend::Reference, Backend::Fast] {
+            let mut scratch = KernelScratch::with_backend(backend);
             let mut ex = StreamExtractor::try_new(&builder, cfg)
                 .expect("joint layout at an aligned frame length supports streaming");
             for r in &readings {
@@ -68,7 +67,7 @@ proptest! {
             for k in 0..N_WINDOWS {
                 let t0 = k as f64 * HOP_S;
                 let refresh = ex.next_is_refresh();
-                let (sf, sq) = ex.extract(t0);
+                let (sf, sq) = ex.extract_with(t0, &mut scratch);
                 let (bf, bq) = builder.build_frame_with_quality(&sorted, t0);
                 prop_assert_eq!(sf.len(), bf.len());
                 if refresh {
@@ -94,7 +93,6 @@ proptest! {
                 prop_assert!(sq == bq, "window {} ({:?}) quality mismatch", k, backend);
             }
         }
-        m2ai::kernels::set_backend(initial);
     }
 
     /// `refresh_every = 1` degenerates to the exact batch path: every

@@ -9,8 +9,8 @@
 //! drain the process-global collector, so they serialise on a local
 //! lock (the same pattern as `tests/observability.rs`).
 
-use m2ai_core::calibration::PhaseCalibrator;
-use m2ai_core::frames::{FeatureMode, FrameBuilder, FrameLayout};
+mod support;
+
 use m2ai_core::network::{build_model, Architecture};
 use m2ai_core::online::HealthState;
 use m2ai_core::serve::{ServeConfig, ServeEngine};
@@ -18,6 +18,7 @@ use m2ai_obs::trace::{self, SpanStatus, TraceConfig};
 use m2ai_serve_fabric::{FabricConfig, ServeFabric, SessionKey, SupervisionConfig};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+use support::{builder, layout};
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -25,14 +26,6 @@ fn lock() -> MutexGuard<'static, ()> {
 }
 
 const HISTORY: usize = 12;
-
-fn layout() -> FrameLayout {
-    FrameLayout::new(1, 4, FeatureMode::Joint)
-}
-
-fn builder() -> FrameBuilder {
-    FrameBuilder::new(layout(), PhaseCalibrator::disabled(1, 4), 0.5)
-}
 
 fn fabric(shards: usize) -> ServeFabric {
     ServeFabric::new(
@@ -132,7 +125,9 @@ fn span_trees_survive_a_kill_and_restart_migration() {
     f.checkpoint_now().expect("live shards checkpoint");
     f.kill_shard(0).expect("shard 0 alive");
     let t0 = Instant::now();
-    while !f.shard_alive(0) {
+    // `kill_shard` only queues the kill: wait for the supervised
+    // restart, not for a shard that has not died yet.
+    while !(f.restarts() >= 1 && f.shard_alive(0)) {
         assert!(t0.elapsed() < Duration::from_secs(30), "restart timed out");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -200,7 +195,9 @@ fn killed_shard_leaves_a_validating_flight_recorder_dump() {
     f.checkpoint_now().expect("checkpoint");
     f.kill_shard(0).expect("alive");
     let t0 = Instant::now();
-    while !f.shard_alive(0) {
+    // `kill_shard` only queues the kill: wait for the supervised
+    // restart, not for a shard that has not died yet.
+    while !(f.restarts() >= 1 && f.shard_alive(0)) {
         assert!(t0.elapsed() < Duration::from_secs(30), "restart timed out");
         std::thread::sleep(Duration::from_millis(2));
     }
